@@ -295,36 +295,53 @@ func (o *oscillator) Select(abr.State) int {
 // chunk's level: every download event carried PrevLevel == Level, destroying
 // the track-switch information. The events must chain instead — the first
 // download sees -1, every later one sees the previous download's Level.
+// SimulateLive runs the same core, so its trace must chain the same way.
 func TestDownloadEventPrevLevelChain(t *testing.T) {
 	v := testVideo()
-	ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
-	cfg := DefaultConfig()
-	cfg.Recorder = ring
-	if _, err := Simulate(v, trace.Constant("c", 10e6, 1200, 1), &oscillator{}, cfg); err != nil {
-		t.Fatal(err)
+	tr := trace.Constant("c", 10e6, 1200, 1)
+	runs := map[string]func(Config) error{
+		"Simulate": func(cfg Config) error {
+			_, err := Simulate(v, tr, &oscillator{}, cfg)
+			return err
+		},
+		"SimulateLive": func(cfg Config) error {
+			_, err := SimulateLive(v, tr, &oscillator{}, cfg, LiveConfig{EncoderDelaySec: 0})
+			return err
+		},
 	}
-	prev, downloads, switches := -1, 0, 0
-	for _, ev := range ring.Events() {
-		if ev.Kind != telemetry.KindDownload {
-			continue
-		}
-		if ev.PrevLevel != prev {
-			t.Fatalf("download %d: PrevLevel = %d, want %d (the previous download's Level)",
-				downloads, ev.PrevLevel, prev)
-		}
-		if ev.PrevLevel != ev.Level {
-			switches++
-		}
-		prev = ev.Level
-		downloads++
-	}
-	if downloads != v.NumChunks() {
-		t.Fatalf("recorded %d download events, want %d", downloads, v.NumChunks())
-	}
-	// The oscillator switches track on every chunk; if no event shows a
-	// switch, PrevLevel is being stamped from the current level.
-	if switches != downloads {
-		t.Fatalf("only %d/%d download events show a track switch under an oscillating algorithm",
-			switches, downloads)
+	for name, run := range runs {
+		t.Run(name, func(t *testing.T) {
+			ring := telemetry.NewRing(telemetry.DefaultRingCapacity)
+			cfg := DefaultConfig()
+			cfg.Recorder = ring
+			if err := run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			prev, downloads, switches := -1, 0, 0
+			for _, ev := range ring.Events() {
+				if ev.Kind != telemetry.KindDownload {
+					continue
+				}
+				if ev.PrevLevel != prev {
+					t.Fatalf("download %d: PrevLevel = %d, want %d (the previous download's Level)",
+						downloads, ev.PrevLevel, prev)
+				}
+				if ev.PrevLevel != ev.Level {
+					switches++
+				}
+				prev = ev.Level
+				downloads++
+			}
+			if downloads != v.NumChunks() {
+				t.Fatalf("recorded %d download events, want %d", downloads, v.NumChunks())
+			}
+			// The oscillator switches track on every chunk; if no event
+			// shows a switch, PrevLevel is being stamped from the current
+			// level.
+			if switches != downloads {
+				t.Fatalf("only %d/%d download events show a track switch under an oscillating algorithm",
+					switches, downloads)
+			}
+		})
 	}
 }

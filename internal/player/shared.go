@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"cava/internal/abr"
-	"cava/internal/bandwidth"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -35,6 +34,12 @@ type SharedClient struct {
 
 // SimulateShared runs all clients to completion over the shared link and
 // returns one Result per client, in input order.
+//
+// Each client is a StepState driven through the same phase API as the
+// testbed client; this function only solves the link: it moves every
+// client's clock to the next event (a download finishing, a client waking,
+// a trace-interval boundary) and splits the capacity among active
+// downloads.
 func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -44,202 +49,124 @@ func SimulateShared(tr *trace.Trace, clients []SharedClient) ([]*Result, error) 
 	}
 
 	type cstate struct {
-		sc   SharedClient
-		res  *Result
-		pred bandwidth.Predictor
-
-		chunk     int     // next chunk index to request
+		s         StepState
+		est       float64 // estimate the in-flight decision saw
 		remaining float64 // bits left of the in-flight download (0 = none)
-		inflight  ChunkRecord
-		wakeAt    float64 // waiting (full buffer / scheme delay) until this time
-		buffer    float64
-		playing   bool
-		prevLevel int
-		lastTput  float64
-		done      bool
+		wakeAt    float64 // waiting (join, full buffer, scheme delay) until this time
 	}
 
-	states := make([]*cstate, len(clients))
+	states := make([]cstate, len(clients))
 	for i, sc := range clients {
 		if err := sc.Video.Validate(); err != nil {
 			return nil, fmt.Errorf("player: client %d: %w", i, err)
 		}
-		cfg := sc.Config
-		if cfg.StartupSec <= 0 {
-			cfg.StartupSec = 10
-		}
-		if cfg.MaxBufferSec <= 0 {
-			cfg.MaxBufferSec = 100
-		}
-		pred := cfg.Predictor
-		if pred == nil {
-			pred = bandwidth.NewHarmonicMean(bandwidth.DefaultWindow)
-		}
-		pred.Reset()
-		sc.Config = cfg
-		states[i] = &cstate{
-			sc:        sc,
-			res:       &Result{VideoID: sc.Video.ID(), TraceID: tr.ID, Scheme: sc.Algo.Name()},
-			pred:      pred,
-			prevLevel: -1,
-			wakeAt:    sc.JoinDelaySec,
-		}
+		states[i].s.Init(sc.Video, sc.Video.ID(), tr.ID, sc.Algo, sc.Config, true)
+		states[i].wakeAt = sc.JoinDelaySec
 	}
 
 	now := 0.0
 	const eps = 1e-9
 
-	// decide prompts a client for its next action at time `now`; it either
-	// starts a download (remaining > 0) or sets a wake time.
-	decide := func(st *cstate) {
-		v := st.sc.Video
-		if st.chunk >= v.NumChunks() {
-			st.done = true
-			st.res.SessionSec = now
+	// decide prompts a client for its next action at time now; it either
+	// starts a download (remaining > 0) or sets a wake time. A woken client
+	// begins the chunk afresh, so the scheme's pause is re-queried.
+	decide := func(c *cstate) {
+		s := &c.s
+		if s.Done() {
 			return
 		}
-		s := abr.State{
-			ChunkIndex:        st.chunk,
-			Now:               now,
-			Buffer:            st.buffer,
-			Playing:           st.playing,
-			PrevLevel:         st.prevLevel,
-			Est:               st.pred.Predict(now),
-			LastThroughputBps: st.lastTput,
-		}
-		if d, ok := st.sc.Algo.(abr.Delayer); ok {
-			if w := d.Delay(s); w > 0 {
-				st.wakeAt = now + w
-				return
-			}
-		}
-		if st.playing && st.buffer+v.ChunkDurSec > st.sc.Config.MaxBufferSec {
-			st.wakeAt = now + (st.buffer + v.ChunkDurSec - st.sc.Config.MaxBufferSec)
+		st := s.BeginChunk()
+		if w := s.WantDelay(st); w > 0 {
+			c.wakeAt = now + w
 			return
 		}
-		level := st2level(st.sc.Algo, s, v.NumTracks())
-		st.inflight = ChunkRecord{
-			Index:        st.chunk,
-			Level:        level,
-			SizeBits:     v.ChunkSize(level, st.chunk),
-			StartTime:    now,
-			BufferBefore: st.buffer,
+		if w := s.FullBufferWait(); w > 0 {
+			c.wakeAt = now + w
+			return
 		}
-		st.remaining = st.inflight.SizeBits
-		st.wakeAt = 0
+		s.Rec.Level = s.Decide(st)
+		s.Rec.SizeBits = s.v.ChunkSize(s.Rec.Level, s.Chunk)
+		s.Rec.StartTime = now
+		c.est = st.Est
+		c.remaining = s.Rec.SizeBits
 	}
 
-	for _, st := range states {
-		if st.wakeAt <= 0 {
-			decide(st)
+	for i := range states {
+		if states[i].wakeAt <= 0 {
+			decide(&states[i])
 		}
 	}
 
 	for {
-		// Collect active downloaders and the next wake/boundary events.
-		var active []*cstate
+		// Count active downloaders and find the next wake event (now for
+		// a client ready to decide again). A client not yet done is one
+		// or the other, so finding neither means every client is done.
+		active := 0
 		next := math.Inf(1)
-		allDone := true
-		for _, st := range states {
-			if st.done {
+		for i := range states {
+			c := &states[i]
+			if c.s.Done() {
 				continue
 			}
-			allDone = false
-			if st.remaining > 0 {
-				active = append(active, st)
-			} else if st.wakeAt > now && st.wakeAt < next {
-				next = st.wakeAt
-			} else if st.wakeAt <= now {
-				// Ready to decide again right now.
-				next = now
+			if c.remaining > 0 {
+				active++
+			} else {
+				next = math.Min(next, math.Max(c.wakeAt, now))
 			}
 		}
-		if allDone {
+		if active == 0 && math.IsInf(next, 1) {
 			break
 		}
 		// Trace boundary bounds the constant-rate span.
-		boundary := (math.Floor(now/tr.IntervalSec) + 1) * tr.IntervalSec
-		if boundary < next {
-			next = boundary
-		}
+		next = math.Min(next, (math.Floor(now/tr.IntervalSec)+1)*tr.IntervalSec)
 		share := 0.0
-		if len(active) > 0 {
-			share = tr.BandwidthAt(now) / float64(len(active))
-			for _, st := range active {
-				if fin := now + st.remaining/math.Max(share, eps); fin < next {
-					next = fin
+		if active > 0 {
+			share = tr.BandwidthAt(now) / float64(active)
+			for i := range states {
+				if r := states[i].remaining; r > 0 {
+					next = math.Min(next, now+r/math.Max(share, eps))
 				}
 			}
-		}
-		if math.IsInf(next, 1) {
-			return nil, fmt.Errorf("player: shared simulation wedged at t=%.1f", now)
 		}
 		if next < now+eps {
 			next = now + eps
 		}
 		dt := next - now
-
-		// Advance downloads and playback.
-		for _, st := range states {
-			if st.done {
-				continue
-			}
-			if st.remaining > 0 && share > 0 {
-				st.remaining -= share * dt
-			}
-			if st.playing {
-				if st.buffer >= dt {
-					st.buffer -= dt
-				} else {
-					stall := dt - st.buffer
-					st.buffer = 0
-					st.res.TotalRebufferSec += stall
-					if st.remaining > 0 {
-						st.inflight.RebufferSec += stall
-					}
-				}
-			}
-		}
 		now = next
 
-		// Complete downloads and re-decide.
-		for _, st := range states {
-			if st.done {
+		// Advance downloads and playback, then complete downloads and
+		// re-decide. Clients only interact through share, so one pass
+		// per client suffices.
+		for i := range states {
+			c := &states[i]
+			s := &c.s
+			if s.Done() {
 				continue
 			}
-			v := st.sc.Video
-			if st.remaining > 0 && st.remaining <= eps*10 {
-				st.remaining = 0
+			downloading := c.remaining > 0
+			if downloading && share > 0 {
+				c.remaining -= share * dt
 			}
-			if st.inflight.SizeBits > 0 && st.remaining <= 0 {
-				rec := st.inflight
-				rec.DownloadSec = now - rec.StartTime
-				if rec.DownloadSec > 0 {
-					rec.ThroughputBps = rec.SizeBits / rec.DownloadSec
+			s.AddStall(s.ElapseTo(now))
+			if downloading && c.remaining <= eps*10 {
+				c.remaining = 0
+				s.Rec.DownloadSec = now - s.Rec.StartTime
+				if s.Rec.DownloadSec > 0 {
+					s.Rec.ThroughputBps = s.Rec.SizeBits / s.Rec.DownloadSec
 				}
-				st.buffer += v.ChunkDurSec
-				rec.BufferAfter = st.buffer
-				st.pred.ObserveDownload(rec.SizeBits, rec.DownloadSec)
-				st.lastTput = rec.ThroughputBps
-				st.prevLevel = rec.Level
-				st.res.Chunks = append(st.res.Chunks, rec)
-				st.res.TotalBits += rec.SizeBits
-				st.inflight = ChunkRecord{}
-				st.chunk++
-				if !st.playing && (st.buffer >= st.sc.Config.StartupSec || st.chunk == v.NumChunks()) {
-					st.playing = true
-					st.res.StartupDelaySec = now
-				}
-				decide(st)
-			} else if st.remaining <= 0 && st.wakeAt <= now {
-				decide(st)
+				s.FinishDownload(c.est)
+				s.MaybeStartup(now)
+				s.NextChunk()
+				decide(c)
+			} else if !downloading && c.wakeAt <= now {
+				decide(c)
 			}
 		}
 	}
 
 	out := make([]*Result, len(states))
-	for i, st := range states {
-		out[i] = st.res
+	for i := range states {
+		out[i] = states[i].s.Take()
 	}
 	return out, nil
 }

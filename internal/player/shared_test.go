@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cava/internal/abr"
+	"cava/internal/cliutil"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -103,6 +104,39 @@ func TestSharedAdaptiveClientsComplete(t *testing.T) {
 		}
 		if res.TotalBits <= 0 || res.SessionSec <= 0 {
 			t.Fatalf("client %d accounting broken: %+v", ci, res)
+		}
+	}
+}
+
+// TestSharedStallConservation is the regression test for charging a stall
+// to the in-flight chunk only while bits remained after the solver step:
+// the stall of the step that completed a download reached the session total
+// but no chunk. Every stall happens during some chunk, so the per-chunk
+// stalls must sum to the total for every client.
+func TestSharedStallConservation(t *testing.T) {
+	schemes := cliutil.Schemes()
+	v := video.YouTubeVideo(video.Title{Name: "ED", Genre: video.SciFi})
+	for _, name := range []string{"cava", "robustmpc", "festive", "bolae-seg", "rba"} {
+		for ti := 0; ti < 5; ti++ {
+			tr := trace.GenLTE(ti).Scale(3)
+			clients := make([]SharedClient, 3)
+			for c := range clients {
+				clients[c] = SharedClient{Video: v, Algo: schemes[name](v), JoinDelaySec: float64(c) * 41}
+			}
+			results, err := SimulateShared(tr, clients)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for ci, res := range results {
+				sum := 0.0
+				for _, c := range res.Chunks {
+					sum += c.RebufferSec
+				}
+				if math.Abs(sum-res.TotalRebufferSec) > 1e-6 {
+					t.Errorf("%s %s client %d: chunk stalls sum to %.6fs, session total %.6fs",
+						name, tr.ID, ci, sum, res.TotalRebufferSec)
+				}
+			}
 		}
 	}
 }

@@ -9,9 +9,10 @@ import (
 )
 
 // StepState is the reusable session core behind every execution frontend:
-// the pure simulator (Simulate), the discrete-event fleet engine
-// (internal/fleet) and the live DASH testbed client (internal/dash) all
-// drive the same per-chunk state machine — one simulator, three frontends.
+// the pure simulator (Simulate), the live-edge simulator (SimulateLive),
+// the shared-link simulator (SimulateShared), the discrete-event fleet
+// engine (internal/fleet) and the live DASH testbed client (internal/dash)
+// all drive the same per-chunk state machine — one core, five frontends.
 //
 // The core is clock-agnostic: it never reads a clock. Virtual time only
 // moves when a frontend applies a duration (drain/ElapseTo), so the same
@@ -142,16 +143,7 @@ func (s *StepState) SetNow(nowSec float64) { s.NowSec = nowSec }
 // Returns stall seconds incurred.
 func (s *StepState) drainFor(dt float64) float64 {
 	s.NowSec += dt
-	if !s.Playing {
-		return 0
-	}
-	if s.BufferSec >= dt {
-		s.BufferSec -= dt
-		return 0
-	}
-	stall := dt - s.BufferSec
-	s.BufferSec = 0
-	return stall
+	return s.drain(dt)
 }
 
 // ElapseTo advances the clock to the absolute virtual time nowSec,
@@ -161,7 +153,16 @@ func (s *StepState) drainFor(dt float64) float64 {
 func (s *StepState) ElapseTo(nowSec float64) float64 {
 	dt := nowSec - s.NowSec
 	s.NowSec = nowSec
-	if dt <= 0 || !s.Playing {
+	if dt <= 0 {
+		return 0
+	}
+	return s.drain(dt)
+}
+
+// drain plays out dt seconds of buffer when playing and returns the stall
+// incurred. The caller moves the clock.
+func (s *StepState) drain(dt float64) float64 {
+	if !s.Playing {
 		return 0
 	}
 	if s.BufferSec >= dt {
@@ -325,8 +326,12 @@ func (s *StepState) NextChunk() { s.Chunk++ }
 // Advance performs no allocations in the steady state when the session
 // was initialized with keepChunks=false and a nil recorder.
 func (s *StepState) Advance(tr *trace.Trace, traceOffsetSec float64) float64 {
-	st := s.BeginChunk()
+	return s.step(s.BeginChunk(), tr, traceOffsetSec)
+}
 
+// step is Advance after BeginChunk: st is the decision state BeginChunk
+// returned. SimulateLive runs its encoder-availability wait between the two.
+func (s *StepState) step(st abr.State, tr *trace.Trace, traceOffsetSec float64) float64 {
 	// Algorithm-requested pause (e.g. BOLA above its buffer ceiling).
 	if d := s.WantDelay(st); d > 0 {
 		s.NoteWait(d)
