@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"cava/internal/abr"
+	"cava/internal/cliutil"
 	"cava/internal/core"
 	"cava/internal/experiments"
 	"cava/internal/metrics"
@@ -97,6 +98,54 @@ func BenchmarkDecisionRobustMPC(b *testing.B) { benchDecision(b, abr.NewMPC(benc
 func BenchmarkDecisionPANDA(b *testing.B) {
 	v := benchVideo()
 	benchDecision(b, abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin))
+}
+
+// BenchmarkDecisionLookahead times Select of each lookahead scheme over the
+// decision states of its own sessions on one seeded LTE and one seeded FCC
+// trace: how much the search prunes depends on the state, so one fixed
+// state would not be representative.
+func BenchmarkDecisionLookahead(b *testing.B) {
+	for _, name := range []string{"mpc", "robustmpc", "panda-max-sum", "panda-max-min"} {
+		b.Run(name, func(b *testing.B) {
+			f, err := cliutil.SchemeByName(name)
+			if err != nil {
+				b.Fatal(err)
+			}
+			v := benchVideo()
+			var states []abr.State
+			for _, tr := range []*trace.Trace{trace.GenLTE(lookaheadTrace), trace.GenFCC(lookaheadTrace)} {
+				rec := &stateRecorder{Algorithm: f(v)}
+				if _, err := player.Simulate(v, tr, rec, player.DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+				states = append(states, rec.states...)
+			}
+			algo := f(v)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lookaheadSink = algo.Select(states[i%len(states)])
+			}
+		})
+	}
+}
+
+// lookaheadTrace seeds the traces BenchmarkDecisionLookahead draws its
+// states from.
+const lookaheadTrace = 7
+
+// lookaheadSink keeps the measured Select calls from being optimized away.
+var lookaheadSink int
+
+// stateRecorder records every decision state its algorithm sees.
+type stateRecorder struct {
+	abr.Algorithm
+	states []abr.State
+}
+
+func (r *stateRecorder) Select(st abr.State) int {
+	r.states = append(r.states, st)
+	return r.Algorithm.Select(st)
 }
 
 func BenchmarkDecisionBOLAE(b *testing.B) {

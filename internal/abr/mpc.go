@@ -9,8 +9,9 @@ import (
 // MPC implements the model-predictive-control scheme of Yin et al.
 // (SIGCOMM'15) with the paper's recommended VBR adaptation: actual chunk
 // sizes drive the predicted buffer evolution. At each decision it searches
-// all track sequences over a finite horizon, simulates the buffer under the
-// predicted bandwidth, and picks the first track of the sequence maximizing
+// all track sequences over a finite horizon (pruned exactly, see
+// lookahead.go), simulates the buffer under the predicted bandwidth, and
+// picks the first track of the sequence maximizing
 //
 //	QoE = Σ q_k − λ Σ |q_k − q_{k−1}| − μ Σ rebuffer_k
 //
@@ -30,8 +31,12 @@ type MPC struct {
 	// Robust enables the RobustMPC error-discounted prediction.
 	Robust bool
 
-	errWindow []float64
-	lastPred  float64
+	// errs is a ring of the last len(errs) relative prediction errors;
+	// unfilled slots are 0, which the max over the ring ignores.
+	errs     [5]float64
+	errNext  int
+	lastPred float64
+	tree     mpcTree
 }
 
 // NewMPC returns an MPC instance with the paper-aligned defaults
@@ -65,11 +70,8 @@ func (m *MPC) Select(st State) int {
 	v := m.v
 	// Track prediction error for the robust discount.
 	if m.lastPred > 0 && st.LastThroughputBps > 0 {
-		e := math.Abs(m.lastPred-st.LastThroughputBps) / m.lastPred
-		m.errWindow = append(m.errWindow, e)
-		if len(m.errWindow) > 5 {
-			m.errWindow = m.errWindow[len(m.errWindow)-5:]
-		}
+		m.errs[m.errNext] = math.Abs(m.lastPred-st.LastThroughputBps) / m.lastPred
+		m.errNext = (m.errNext + 1) % len(m.errs)
 	}
 	pred := st.Est
 	m.lastPred = pred
@@ -78,7 +80,7 @@ func (m *MPC) Select(st State) int {
 	}
 	if m.Robust {
 		maxErr := 0.0
-		for _, e := range m.errWindow {
+		for _, e := range m.errs {
 			if e > maxErr {
 				maxErr = e
 			}
@@ -102,42 +104,72 @@ func (m *MPC) Select(st State) int {
 		}
 	}
 
-	best := math.Inf(-1)
-	bestFirst := 0
-	var dfs func(depth int, buf, prevQ, acc float64, first int, hasPrev bool)
-	dfs = func(depth int, buf, prevQ, acc float64, first int, hasPrev bool) {
-		if depth == horizon {
-			if acc > best {
-				best = acc
-				bestFirst = first
-			}
-			return
-		}
-		i := st.ChunkIndex + depth
-		for l := 0; l < v.NumTracks(); l++ {
-			dl := v.ChunkSize(l, i) / pred
-			b := buf - dl
-			rebuf := 0.0
-			if b < 0 {
-				rebuf = -b
-				b = 0
-			}
-			b += v.ChunkDurSec
-			if b > m.BufferCap {
-				b = m.BufferCap
-			}
-			q := m.qual(l, i)
-			a := acc + q - m.MuRebuf*rebuf
-			if hasPrev {
-				a -= m.LambdaSwitch * math.Abs(q-prevQ)
-			}
-			f := first
-			if depth == 0 {
-				f = l
-			}
-			dfs(depth+1, b, q, a, f, true)
-		}
+	t := &m.tree
+	t.m = m
+	t.w.load(v, st.ChunkIndex, horizon, m.qual)
+	t.dlSec = resize(t.dlSec, len(t.w.sizeBits))
+	for k, size := range t.w.sizeBits {
+		t.dlSec[k] = size / pred
 	}
-	dfs(0, st.Buffer, prevQ, 0, 0, havePrev)
-	return bestFirst
+	t.nodes = resize(t.nodes, horizon+1)
+	t.nodes[0] = mpcNode{buf: st.Buffer, prevQ: prevQ, hasPrev: havePrev}
+	t.best = math.Inf(-1)
+	// The bound adds no penalty, so it is sound only while penalties are
+	// non-negative; otherwise every branch is searched.
+	t.bounded = m.MuRebuf >= 0 && m.LambdaSwitch >= 0
+	return searchHorizon(t, horizon, v.NumTracks())
 }
+
+// mpcNode is a node of MPC's lookahead: the predicted buffer, the QoE
+// accumulated so far and the quality of the previous chunk.
+type mpcNode struct {
+	buf, acc, prevQ float64
+	hasPrev         bool
+}
+
+// mpcTree is MPC's horizonTree. A leaf's score is its QoE; the bound of a
+// node adds the highest quality of each remaining chunk to its QoE, which
+// no leaf below can exceed while both penalties are non-negative.
+type mpcTree struct {
+	m       *MPC
+	w       window
+	dlSec   []float64 // predicted download time of each window chunk
+	nodes   []mpcNode
+	best    float64
+	bounded bool
+}
+
+func (t *mpcTree) extend(d, l int) int {
+	n, m := &t.nodes[d], t.m
+	k := d*t.w.tracks + l
+	q := t.w.qual[k]
+	b := n.buf - t.dlSec[k]
+	rebuf := 0.0
+	if b < 0 {
+		rebuf = -b
+		b = 0
+	}
+	b += m.v.ChunkDurSec
+	if b > m.BufferCap {
+		b = m.BufferCap
+	}
+	a := n.acc + q - m.MuRebuf*rebuf
+	if n.hasPrev {
+		a -= m.LambdaSwitch * math.Abs(q-n.prevQ)
+	}
+	t.nodes[d+1] = mpcNode{buf: b, acc: a, prevQ: q, hasPrev: true}
+	score := a
+	if d+1 < t.w.horizon {
+		if !t.bounded {
+			return 1
+		}
+		score = t.w.sumBound(score, d+1)
+	}
+	//lint:allow floateq exact tie between a score and the incumbent's
+	if score != t.best {
+		return prefer(score > t.best)
+	}
+	return 0
+}
+
+func (t *mpcTree) keep() { t.best = t.nodes[t.w.horizon].acc }

@@ -30,7 +30,8 @@ const (
 // max-sum would degenerately select the top track for every chunk. The
 // scheme equalizes quality rather than regulating the buffer, so sustained
 // over-prediction drains the buffer into stalls — the §6.3/§6.7 behaviour
-// the paper reports. When no sequence fits the budget it minimizes data.
+// the paper reports. When no sequence fits the budget it picks the lowest
+// track.
 type PANDACQ struct {
 	v *video.Video
 	q *quality.Table
@@ -38,16 +39,16 @@ type PANDACQ struct {
 	Mode PANDAMode
 	// Horizon is the look-ahead window in chunks (5 as in CAVA's N).
 	Horizon int
-	// BufferCap bounds the predicted buffer.
-	BufferCap float64
 	// BudgetFactor scales the window's data budget relative to the
 	// predicted bandwidth (1 keeps the buffer level on average).
 	BudgetFactor float64
+
+	tree pandaTree
 }
 
 // NewPANDACQ returns a PANDA/CQ instance over the given quality table.
 func NewPANDACQ(v *video.Video, q *quality.Table, mode PANDAMode) *PANDACQ {
-	return &PANDACQ{v: v, q: q, Mode: mode, Horizon: 5, BufferCap: 100, BudgetFactor: 1}
+	return &PANDACQ{v: v, q: q, Mode: mode, Horizon: 5, BudgetFactor: 1}
 }
 
 // Name implements Algorithm.
@@ -73,83 +74,99 @@ func (p *PANDACQ) Select(st State) int {
 		return clampLevel(st.PrevLevel, v.NumTracks())
 	}
 
-	type cand struct {
-		feasible bool
-		obj      float64 // quality objective (higher better)
-		rebuf    float64
-		switches int
-		bits     float64
-		first    int
+	t := &p.tree
+	t.mode = p.Mode
+	t.budget = p.BudgetFactor * pred * float64(horizon) * v.ChunkDurSec
+	t.w.load(v, st.ChunkIndex, horizon, p.q.At)
+	t.nodes = resize(t.nodes, horizon+1)
+	t.nodes[0] = pandaNode{prev: st.PrevLevel}
+	if p.Mode == MaxMin {
+		t.nodes[0].obj = math.Inf(1)
 	}
-	best := cand{feasible: false, obj: math.Inf(-1), rebuf: math.Inf(1)}
-	better := func(a, b cand) bool {
-		if a.feasible != b.feasible {
-			return a.feasible
-		}
-		if !a.feasible {
-			// Nothing fits the budget: less data wins.
-			//lint:allow floateq exact tie-break between candidate byte sums
-			if a.bits != b.bits {
-				return a.bits < b.bits
-			}
-			return a.obj > b.obj
-		}
-		//lint:allow floateq exact tie-break between candidate objectives
-		if a.obj != b.obj {
-			return a.obj > b.obj
-		}
-		if a.switches != b.switches {
-			return a.switches < b.switches
-		}
-		return a.bits < b.bits
-	}
+	t.found = false
+	return searchHorizon(t, horizon, v.NumTracks())
+}
 
-	budget := p.BudgetFactor * pred * float64(horizon) * v.ChunkDurSec
+// pandaNode is a node of PANDA/CQ's lookahead: the quality objective so far
+// (sum or minimum), the bits, the track switches and the previous track.
+type pandaNode struct {
+	obj, bits      float64
+	switches, prev int
+}
 
-	var dfs func(depth int, buf float64, prevL int, sum, min, rebuf, bits float64, switches, first int)
-	dfs = func(depth int, buf float64, prevL int, sum, min, rebuf, bits float64, switches, first int) {
-		if depth == horizon {
-			obj := sum
-			if p.Mode == MaxMin {
-				obj = min
-			}
-			c := cand{feasible: bits <= budget, obj: obj, rebuf: rebuf,
-				switches: switches, bits: bits, first: first}
-			if better(c, best) {
-				best = c
-			}
-			return
-		}
-		i := st.ChunkIndex + depth
-		for l := 0; l < v.NumTracks(); l++ {
-			size := v.ChunkSize(l, i)
-			dl := size / pred
-			b := buf - dl
-			rb := rebuf
-			if b < 0 {
-				rb += -b
-				b = 0
-			}
-			b += v.ChunkDurSec
-			if b > p.BufferCap {
-				b = p.BufferCap
-			}
-			q := p.q.At(l, i)
-			mn := min
-			if q < mn {
-				mn = q
-			}
-			sw := switches
-			if prevL >= 0 && l != prevL {
-				sw++
-			}
-			f := first
-			if depth == 0 {
-				f = l
-			}
-			dfs(depth+1, b, l, sum+q, mn, rb, bits+size, sw, f)
+// pandaOutcome is what PANDA/CQ compares between track sequences that fit
+// the window's data budget.
+type pandaOutcome struct {
+	obj      float64 // quality objective (higher better)
+	switches int
+	bits     float64
+}
+
+// cmp orders outcomes: +1 when a beats b, 0 on a full tie, -1 otherwise.
+// The higher objective wins, then fewer switches, then less data.
+func (a pandaOutcome) cmp(b pandaOutcome) int {
+	switch {
+	//lint:allow floateq exact tie-break between candidate objectives
+	case a.obj != b.obj:
+		return prefer(a.obj > b.obj)
+	case a.switches != b.switches:
+		return prefer(a.switches < b.switches)
+	//lint:allow floateq exact tie-break between candidate byte sums
+	case a.bits != b.bits:
+		return prefer(a.bits < b.bits)
+	}
+	return 0
+}
+
+// pandaTree is PANDA/CQ's horizonTree. Only sequences within the budget
+// compete. A node none of whose sequences fits, even with the smallest
+// remaining chunks, is cut; otherwise its bound is the objective bound, the
+// switches so far and the fewest bits any completion can use, an outcome
+// at least as good as every sequence below it.
+type pandaTree struct {
+	mode   PANDAMode
+	budget float64
+	w      window
+	nodes  []pandaNode
+	found  bool // best holds a sequence within the budget
+	best   pandaOutcome
+}
+
+func (t *pandaTree) extend(d, l int) int {
+	n := &t.nodes[d]
+	k := d*t.w.tracks + l
+	q := t.w.qual[k]
+	obj := n.obj + q
+	if t.mode == MaxMin {
+		obj = n.obj
+		if q < obj {
+			obj = q
 		}
 	}
-	dfs(0, st.Buffer, st.PrevLevel, 0, math.Inf(1), 0, 0, 0, 0)
-	return best.first
+	sw := n.switches
+	if n.prev >= 0 && l != n.prev {
+		sw++
+	}
+	bits := n.bits + t.w.sizeBits[k]
+	t.nodes[d+1] = pandaNode{obj: obj, bits: bits, switches: sw, prev: l}
+	if d++; d < t.w.horizon {
+		if t.mode == MaxMin {
+			obj = t.w.minBound(obj, d)
+		} else {
+			obj = t.w.sumBound(obj, d)
+		}
+		bits = t.w.bitsBound(bits, d)
+	}
+	switch {
+	case !(bits <= t.budget): // negated so a NaN budget admits nothing
+		return -1
+	case !t.found:
+		return 1
+	}
+	return pandaOutcome{obj: obj, switches: sw, bits: bits}.cmp(t.best)
+}
+
+func (t *pandaTree) keep() {
+	n := &t.nodes[t.w.horizon]
+	t.found, t.best = true, pandaOutcome{obj: n.obj, switches: n.switches, bits: n.bits}
 }

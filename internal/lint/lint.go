@@ -105,7 +105,8 @@ func DefaultConfig() Config {
 		// The hot-path set is exactly the per-event code the fleet engine's
 		// zero-alloc guards (testing.AllocsPerRun) pin dynamically: the
 		// player chunk-step core, the fleet drain/shard loop and event heap,
-		// and the bandwidth predictor ring.
+		// the bandwidth predictor ring, and the lookahead search that MPC
+		// and PANDA/CQ run per decision (TestLookaheadSelectAllocatesNothing).
 		HotPathFuncs: []string{
 			"internal/player:Advance", "internal/player:step",
 			"internal/player:BeginChunk",
@@ -125,6 +126,10 @@ func DefaultConfig() Config {
 			"internal/fleet:gate",
 			"internal/bandwidth:ObserveDownload", "internal/bandwidth:Predict",
 			"internal/bandwidth:Reset",
+			"internal/abr:searchHorizon", "internal/abr:descend",
+			"internal/abr:extend", "internal/abr:keep", "internal/abr:cmp",
+			"internal/abr:sumBound", "internal/abr:bitsBound",
+			"internal/abr:minBound",
 		},
 	}
 }
