@@ -203,12 +203,15 @@ func BenchmarkQualityTable(b *testing.B) {
 	}
 }
 
+// BenchmarkClassify measures the uncached classification that
+// scene.ClassifyDefault memoizes once per video.
 func BenchmarkClassify(b *testing.B) {
 	v := benchVideo()
+	ref := scene.DefaultReferenceTrack(v.NumTracks())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		scene.ClassifyDefault(v)
+		scene.Classify(v, ref, scene.DefaultNumClasses)
 	}
 }
 

@@ -49,18 +49,17 @@ func schemeByName(name string) (abr.Scheme, error) {
 		return abr.Scheme{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }}, nil
 	case "panda-max-sum":
 		return abr.Scheme{Name: "PANDA/CQ max-sum", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxSum)
+			return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), abr.MaxSum)
 		}}, nil
 	case "panda-max-min":
 		return abr.Scheme{Name: "PANDA/CQ max-min", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxMin)
+			return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), abr.MaxMin)
 		}}, nil
 	case "bolae-peak", "bolae-avg", "bolae-seg":
 		variant := map[string]abr.BOLAVariant{
 			"bolae-peak": abr.BOLAPeak, "bolae-avg": abr.BOLAAvg, "bolae-seg": abr.BOLASeg,
 		}[name]
-		probe := abr.NewBOLAE(cache.Shared.Generate(video.DatasetConfigs()[0]), variant, true)
-		return abr.Scheme{Name: probe.Name(), New: func(v *video.Video) abr.Algorithm {
+		return abr.Scheme{Name: variant.Name(true), New: func(v *video.Video) abr.Algorithm {
 			return abr.NewBOLAE(v, variant, true)
 		}}, nil
 	case "bba1":

@@ -30,7 +30,7 @@ func main() {
 		{Name: "MPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) }},
 		{Name: "RobustMPC", New: func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) }},
 		{Name: "PANDA/CQ max-min", New: func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, quality.NewTable(v, quality.PSNR), abr.MaxMin)
+			return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), abr.MaxMin)
 		}},
 		{Name: "BOLA-E (seg)", New: func(v *video.Video) abr.Algorithm {
 			return abr.NewBOLAE(v, abr.BOLASeg, true)

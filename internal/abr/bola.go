@@ -36,6 +36,15 @@ func (v BOLAVariant) String() string {
 	}
 }
 
+// Name returns the display name of BOLA (enhanced false) or BOLA-E
+// (enhanced true) under this variant, e.g. "BOLA-E (avg)".
+func (v BOLAVariant) Name(enhanced bool) string {
+	if enhanced {
+		return "BOLA-E (" + v.String() + ")"
+	}
+	return "BOLA (" + v.String() + ")"
+}
+
 // BOLAE implements BOLA (Spiteri et al., INFOCOM'16) and its production
 // BOLA-E refinement (MMSys'18): a Lyapunov-utility scheme that maximizes
 // (V·(υ_l + γp) − Q)/S_l over tracks l, pausing when no track has positive
@@ -109,12 +118,7 @@ func (b *BOLAE) size(l, i int) float64 {
 }
 
 // Name implements Algorithm.
-func (b *BOLAE) Name() string {
-	if b.Enhanced {
-		return "BOLA-E (" + b.Variant.String() + ")"
-	}
-	return "BOLA (" + b.Variant.String() + ")"
-}
+func (b *BOLAE) Name() string { return b.Variant.Name(b.Enhanced) }
 
 // utility returns υ_l for chunk i.
 func (b *BOLAE) utility(l, i int) float64 {

@@ -19,9 +19,11 @@ const twinTrack = 2
 // decides.
 func twinVideo() *video.Video {
 	src := testVideo()
-	tw := *src
-	tw.Tracks = append(append([]video.Track(nil), src.Tracks[:twinTrack+1]...), src.Tracks[twinTrack:]...)
-	return &tw
+	return &video.Video{
+		Name: src.Name, Genre: src.Genre, Codec: src.Codec, Source: src.Source,
+		ChunkDurSec: src.ChunkDurSec, Cap: src.Cap, FPS: src.FPS, Complexity: src.Complexity,
+		Tracks: append(append([]video.Track(nil), src.Tracks[:twinTrack+1]...), src.Tracks[twinTrack:]...),
+	}
 }
 
 // twinTable is the metric's table of ED (YouTube) with the twin's row

@@ -3,23 +3,18 @@ package cache
 import (
 	"fmt"
 
-	"cava/internal/quality"
-	"cava/internal/scene"
 	"cava/internal/video"
 )
 
-// This file holds the typed artifact helpers: per-video derived artifacts
-// (generated videos, quality tables, scene classifications) memoized behind
-// the get-or-compute core. All are safe to share across goroutines because
-// the underlying values are immutable once computed. Every helper works on
-// a nil cache by computing directly.
+// This file holds the typed artifact helpers: generated videos memoized
+// behind the get-or-compute core, safe to share across goroutines because
+// videos are immutable once generated. Every helper works on a nil cache by
+// generating directly.
 
 // Artifact kinds, used as Stats keys and telemetry label values.
 const (
-	KindVideo   = "video"
-	KindQuality = "quality"
-	KindScene   = "scene"
-	KindSim     = "sim"
+	KindVideo = "video"
+	KindSim   = "sim"
 )
 
 // Generate returns the video for a generator configuration, generating it
@@ -56,32 +51,6 @@ func (c *Cache) VideoByID(id string) *video.Video {
 		return nil
 	}
 	return c.Generate(cfg)
-}
-
-// QualityTable returns the per-chunk quality table of a video under a
-// metric, computed at most once per (video content, metric).
-func (c *Cache) QualityTable(v *video.Video, m quality.Metric) *quality.Table {
-	if c == nil {
-		return quality.NewTable(v, m)
-	}
-	key := NewHasher("quality-v1").Str(VideoFingerprint(v)).I64(int64(m)).Sum()
-	qt, _ := c.GetOrCompute(KindQuality, key, func() (any, error) {
-		return quality.NewTable(v, m), nil
-	})
-	return qt.(*quality.Table)
-}
-
-// Categories returns the default scene classification of a video, computed
-// at most once per video content.
-func (c *Cache) Categories(v *video.Video) []scene.Category {
-	if c == nil {
-		return scene.ClassifyDefault(v)
-	}
-	key := NewHasher("scene-v1").Str(VideoFingerprint(v)).Sum()
-	cats, _ := c.GetOrCompute(KindScene, key, func() (any, error) {
-		return scene.ClassifyDefault(v), nil
-	})
-	return cats.([]scene.Category)
 }
 
 // VideoByIDErr is VideoByID returning an error for unknown IDs, for call

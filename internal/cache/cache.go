@@ -1,11 +1,12 @@
 // Package cache is the repository's content-addressed artifact cache and
 // sweep memoization layer. Every figure/table reproduction derives the same
-// artifacts from the same deterministic inputs — generated videos, quality
-// tables, scene classifications, whole sim sweeps — so the cache
-// fingerprints those inputs (fingerprint.go) and memoizes the outputs
-// behind a concurrent get-or-compute API with singleflight semantics:
-// parallel workers asking for the same key block on one computation instead
-// of duplicating it.
+// artifacts from the same deterministic inputs — generated videos and
+// whole sim sweeps — so the cache fingerprints those inputs
+// (fingerprint.go) and memoizes the outputs behind a concurrent
+// get-or-compute API with singleflight semantics: parallel workers asking
+// for the same key block on one computation instead of duplicating it.
+// Artifacts derived from one video live in that video's memo instead (see
+// video.Video.Memo).
 //
 // Two storage layers:
 //

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"cava/internal/quality"
 	"cava/internal/telemetry"
 	"cava/internal/trace"
 	"cava/internal/video"
@@ -193,12 +192,6 @@ func TestArtifactHelpersNilSafe(t *testing.T) {
 	v := c.Generate(video.YouTubeConfig(video.Title{Name: "ED", Genre: video.SciFi}))
 	if v == nil {
 		t.Fatal("nil cache Generate returned nil")
-	}
-	if qt := c.QualityTable(v, quality.VMAFPhone); qt == nil {
-		t.Fatal("nil cache QualityTable returned nil")
-	}
-	if cats := c.Categories(v); len(cats) != v.NumChunks() {
-		t.Fatal("nil cache Categories wrong length")
 	}
 	if got := c.Stats("video"); got != (Stats{}) {
 		t.Fatalf("nil cache stats = %+v", got)

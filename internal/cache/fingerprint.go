@@ -70,35 +70,33 @@ func (h *Hasher) Sum() string {
 
 func bitsOf(v float64) uint64 { return math.Float64bits(v) }
 
-// videoFPs and traceFPs memoize fingerprints per pointer. Content-identical
-// values at different addresses still agree (the fingerprint hashes
+// traceFPs memoizes trace fingerprints per pointer. Content-identical
+// traces at different addresses still agree (the fingerprint hashes
 // content); the pointer map is only a fast path for the common case of one
 // generated instance reused across requests.
-var (
-	videoFPs sync.Map // *video.Video -> string
-	traceFPs sync.Map // *trace.Trace -> string
-)
+var traceFPs sync.Map // *trace.Trace -> string
+
+// fingerprintKey keys a video's memoized content fingerprint.
+type fingerprintKey struct{}
 
 // VideoFingerprint returns a content fingerprint of a video: identity
 // fields, the latent complexity series and every track's chunk sizes, so
-// any change to the generator invalidates dependent cache entries.
+// any change to the generator invalidates dependent cache entries. It is
+// computed once per video and kept in the video's memo.
 func VideoFingerprint(v *video.Video) string {
-	if fp, ok := videoFPs.Load(v); ok {
-		return fp.(string)
-	}
-	h := NewHasher("video-v1")
-	h.Str(v.Name).I64(int64(v.Genre)).I64(int64(v.Codec)).I64(int64(v.Source))
-	h.F64(v.ChunkDurSec).F64(v.Cap).F64(v.FPS)
-	h.F64s(v.Complexity)
-	h.I64(int64(len(v.Tracks)))
-	for _, t := range v.Tracks {
-		h.I64(int64(t.ID)).Str(t.Res.Name)
-		h.F64(t.AvgBitrateBps).F64(t.PeakBitrateBps).F64(t.DeclaredBitrateBps)
-		h.F64s(t.ChunkSizesBits)
-	}
-	fp := h.Sum()
-	videoFPs.Store(v, fp)
-	return fp
+	return v.Memo(fingerprintKey{}, func() any {
+		h := NewHasher("video-v1")
+		h.Str(v.Name).I64(int64(v.Genre)).I64(int64(v.Codec)).I64(int64(v.Source))
+		h.F64(v.ChunkDurSec).F64(v.Cap).F64(v.FPS)
+		h.F64s(v.Complexity)
+		h.I64(int64(len(v.Tracks)))
+		for _, t := range v.Tracks {
+			h.I64(int64(t.ID)).Str(t.Res.Name)
+			h.F64(t.AvgBitrateBps).F64(t.PeakBitrateBps).F64(t.DeclaredBitrateBps)
+			h.F64s(t.ChunkSizesBits)
+		}
+		return h.Sum()
+	}).(string)
 }
 
 // TraceFingerprint returns a content fingerprint of a bandwidth trace.

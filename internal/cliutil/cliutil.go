@@ -11,7 +11,6 @@ import (
 	"strings"
 
 	"cava/internal/abr"
-	"cava/internal/cache"
 	"cava/internal/core"
 	"cava/internal/quality"
 	"cava/internal/trace"
@@ -109,7 +108,7 @@ func ParseCorpus(spec string) ([]*trace.Trace, error) {
 
 // Schemes maps every CLI scheme name to a factory. A factory runs once per
 // session; the PANDA/CQ quality table depends only on the video, so its
-// sessions share one table per video through cache.Shared.
+// sessions share the video's memoized table (quality.TableOf).
 func Schemes() map[string]abr.Factory {
 	return map[string]abr.Factory{
 		"cava":      core.Factory(),
@@ -119,10 +118,10 @@ func Schemes() map[string]abr.Factory {
 		"mpc":       func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, false) },
 		"robustmpc": func(v *video.Video) abr.Algorithm { return abr.NewMPC(v, true) },
 		"panda-max-sum": func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxSum)
+			return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), abr.MaxSum)
 		},
 		"panda-max-min": func(v *video.Video) abr.Algorithm {
-			return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), abr.MaxMin)
+			return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), abr.MaxMin)
 		},
 		"bba1":       func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) },
 		"rba":        func(v *video.Video) abr.Algorithm { return abr.NewRBA(v, 4) },

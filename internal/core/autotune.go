@@ -95,13 +95,8 @@ func paramsFor(r Regime) Params {
 }
 
 // Tune replaces the controller's tunables mid-session, preserving the PID
-// state and the chunk classification (which depend on fixed structural
-// parameters: RefLevel, NumClasses, the video).
-func (c *CAVA) Tune(p Params) {
-	p.RefLevel = c.p.RefLevel
-	p.NumClasses = c.p.NumClasses
-	c.p = p
-}
+// state and the chunk classification (which depends only on the video).
+func (c *CAVA) Tune(p Params) { c.p = p }
 
 // CurrentParams exposes the active tunables (for tests and logging).
 func (c *CAVA) CurrentParams() Params { return c.p }

@@ -37,14 +37,9 @@ func TestTunePreservesStructure(t *testing.T) {
 	before := c.Categories()
 	p := DefaultParams()
 	p.AlphaComplex = 1.2
-	p.RefLevel = 0   // must be ignored by Tune
-	p.NumClasses = 8 // must be ignored by Tune
 	c.Tune(p)
 	if c.CurrentParams().AlphaComplex != 1.2 {
 		t.Error("tunable not applied")
-	}
-	if c.CurrentParams().RefLevel != DefaultParams().RefLevel {
-		t.Error("structural RefLevel changed by Tune")
 	}
 	after := c.Categories()
 	for i := range before {

@@ -87,11 +87,6 @@ type Params struct {
 	// known, so both the inner window and the outer preview truncate at
 	// the live edge — the §8 future-work extension.
 	Lookahead int
-	// RefLevel is the reference track ℓ̃ for chunk classification and the
-	// outer controller; negative selects the middle track.
-	RefLevel int
-	// NumClasses is the size-quantile class count (4 ⇒ quartiles).
-	NumClasses int
 }
 
 // DefaultParams returns the paper's configuration.
@@ -114,8 +109,6 @@ func DefaultParams() Params {
 		UMin:              0.35,
 		UMax:              2.5,
 		EtaWeight:         5,
-		RefLevel:          -1,
-		NumClasses:        scene.DefaultNumClasses,
 	}
 }
 
@@ -133,15 +126,37 @@ type Principles struct {
 // AllPrinciples is full CAVA (p123).
 var AllPrinciples = Principles{NonMyopic: true, Differential: true, Proactive: true}
 
+// videoState is CAVA's per-video state, derived from the manifest alone:
+// the quartile classification of the reference track ℓ̃ (the middle track,
+// §3.1.1) and that track's mean chunk size for the outer controller. It is
+// built once per video and shared read-only by every session.
+type videoState struct {
+	cats           []scene.Category
+	ref            int     // reference track
+	refAvgSizeBits float64 // mean chunk size of the reference track (bits)
+}
+
+// stateKey keys a video's memoized videoState.
+type stateKey struct{}
+
+// stateOf returns the shared per-video state of v.
+func stateOf(v *video.Video) *videoState {
+	return v.Memo(stateKey{}, func() any {
+		ref := scene.DefaultReferenceTrack(v.NumTracks())
+		sum := 0.0
+		for _, s := range v.Tracks[ref].ChunkSizesBits {
+			sum += s
+		}
+		return &videoState{scene.ClassifyDefault(v), ref, sum / float64(v.NumChunks())}
+	}).(*videoState)
+}
+
 // CAVA is a per-session instance implementing abr.Algorithm.
 type CAVA struct {
-	v    *video.Video
-	p    Params
-	pr   Principles
-	cats []scene.Category
-
-	ref            int     // resolved reference track
-	refAvgSizeBits float64 // mean chunk size of the reference track (bits)
+	v  *video.Video
+	p  Params
+	pr Principles
+	*videoState
 
 	integral float64 // PID integral accumulator (seconds²)
 	lastNow  float64
@@ -163,24 +178,7 @@ func New(v *video.Video) *CAVA { return NewWith(v, DefaultParams(), AllPrinciple
 // NewWith returns a CAVA instance with explicit parameters, principle
 // toggles and display name (used for the p1/p12/p123 ablation variants).
 func NewWith(v *video.Video, p Params, pr Principles, name string) *CAVA {
-	ref := p.RefLevel
-	if ref < 0 || ref >= v.NumTracks() {
-		ref = scene.DefaultReferenceTrack(v.NumTracks())
-	}
-	c := &CAVA{
-		v:    v,
-		p:    p,
-		pr:   pr,
-		cats: scene.Classify(v, ref, p.NumClasses),
-		ref:  ref,
-		name: name,
-	}
-	sum := 0.0
-	for _, s := range v.Tracks[ref].ChunkSizesBits {
-		sum += s
-	}
-	c.refAvgSizeBits = sum / float64(v.NumChunks())
-	return c
+	return &CAVA{v: v, p: p, pr: pr, videoState: stateOf(v), name: name}
 }
 
 // Variant builds the ablation factories used in §6.4: p1 (non-myopic only),
@@ -230,7 +228,9 @@ func (c *CAVA) SetRecorder(rec telemetry.Recorder, session string) {
 	c.session = session
 }
 
-// Categories exposes the chunk classification (for experiments and tests).
+// Categories exposes the chunk classification (for experiments and tests);
+// the slice is shared by every session of the video and must not be
+// modified.
 func (c *CAVA) Categories() []scene.Category { return c.cats }
 
 // TargetBuffer computes the outer controller's dynamic target buffer level

@@ -310,18 +310,3 @@ func TestDeterministicDecisions(t *testing.T) {
 		}
 	}
 }
-
-func TestRefLevelOverride(t *testing.T) {
-	v := testVideo()
-	p := DefaultParams()
-	p.RefLevel = 1
-	c := NewWith(v, p, AllPrinciples, "CAVA")
-	if c.ref != 1 {
-		t.Errorf("ref = %d, want 1", c.ref)
-	}
-	p.RefLevel = 99
-	c = NewWith(v, p, AllPrinciples, "CAVA")
-	if c.ref != scene.DefaultReferenceTrack(v.NumTracks()) {
-		t.Errorf("out-of-range ref not coerced to middle track")
-	}
-}

@@ -91,12 +91,12 @@ func runFig2(opt Options) (*Result, error) {
 // (480p) track for PSNR, SSIM, VMAF-TV and VMAF-phone.
 func runFig3(opt Options) (*Result, error) {
 	v := edYouTube()
-	cats := opt.cache().Categories(v)
+	cats := scene.ClassifyDefault(v)
 	mid := v.NumTracks() / 2
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s, track %d (%s):\n\n", v.ID(), mid, v.Tracks[mid].Res.Name)
 	for _, m := range []quality.Metric{quality.PSNR, quality.SSIM, quality.VMAFTV, quality.VMAFPhone} {
-		qt := opt.cache().QualityTable(v, m)
+		qt := quality.TableOf(v, m)
 		byCat := map[scene.Category][]float64{}
 		for i := 0; i < v.NumChunks(); i++ {
 			byCat[cats[i]] = append(byCat[cats[i]], qt.At(mid, i))

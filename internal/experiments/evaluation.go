@@ -31,8 +31,8 @@ func init() {
 // the summary the paper quotes (average Q4 VMAF and rebuffering).
 func runFig4(opt Options) (*Result, error) {
 	v := edYouTube()
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
+	qt := quality.TableOf(v, quality.VMAFPhone)
+	cats := scene.ClassifyDefault(v)
 	cfg := defaultConfig()
 	// Pick an illustrative trace, as the paper's Fig. 4 does: one where
 	// CAVA streams stall-free and the myopic schemes' Q4 deficit shows.

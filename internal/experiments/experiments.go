@@ -33,9 +33,10 @@ type Options struct {
 	Traces int
 	// Workers bounds sweep parallelism (default GOMAXPROCS).
 	Workers int
-	// Cache memoizes generated videos, derived artifacts and whole sweep
-	// results across runners (nil uses the process-wide cache.Shared, so
-	// e.g. fig8 and fig9 — which need the same sweep — execute it once).
+	// Cache memoizes generated videos and whole sweep results across
+	// runners (nil uses the process-wide cache.Shared, so e.g. fig8 and
+	// fig9 — which need the same sweep — execute it once). Quality tables
+	// and scene classifications are memoized by each video itself.
 	Cache *cache.Cache
 }
 
@@ -151,9 +152,8 @@ func pandaScheme(mode abr.PANDAMode) abr.Scheme {
 	}
 	return abr.Scheme{Name: name, New: func(v *video.Video) abr.Algorithm {
 		// The factory runs once per session; the PSNR table only depends on
-		// the video, so share it process-wide instead of rebuilding it for
-		// every (trace, scheme) session of a sweep.
-		return abr.NewPANDACQ(v, cache.Shared.QualityTable(v, quality.PSNR), mode)
+		// the video, so every session of a video shares its memoized table.
+		return abr.NewPANDACQ(v, quality.TableOf(v, quality.PSNR), mode)
 	}}
 }
 
@@ -170,8 +170,7 @@ func rbaScheme() abr.Scheme {
 }
 
 func bolaScheme(variant abr.BOLAVariant, enhanced bool) abr.Scheme {
-	probe := abr.NewBOLAE(edYouTube(), variant, enhanced)
-	return abr.Scheme{Name: probe.Name(), New: func(v *video.Video) abr.Algorithm {
+	return abr.Scheme{Name: variant.Name(enhanced), New: func(v *video.Video) abr.Algorithm {
 		return abr.NewBOLAE(v, variant, enhanced)
 	}}
 }

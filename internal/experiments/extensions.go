@@ -9,6 +9,7 @@ import (
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
+	"cava/internal/scene"
 	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
@@ -84,8 +85,8 @@ func runLiveExt(opt Options) (*Result, error) {
 	// Live sessions cannot pre-buffer a minute of content: use a 10s
 	// startup against a live edge with a default one-chunk encoder delay.
 	lcfg := player.LiveConfig{EncoderDelaySec: -1}
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
+	qt := quality.TableOf(v, quality.VMAFPhone)
+	cats := scene.ClassifyDefault(v)
 
 	type liveScheme struct {
 		name string

@@ -46,7 +46,6 @@ func runFleet(opt Options) (*Result, error) {
 			RandomTraceOffsets: true,
 			Seed:               1,
 			Metric:             quality.VMAFPhone,
-			Cache:              opt.cache(),
 		})
 		if err != nil {
 			return nil, err

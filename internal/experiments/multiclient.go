@@ -8,6 +8,7 @@ import (
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
+	"cava/internal/scene"
 	"cava/internal/trace"
 	"cava/internal/video"
 )
@@ -28,8 +29,6 @@ func runMultiClient(opt Options) (*Result, error) {
 		nTraces = 40 // shared sessions are ~3x the work of solo ones
 	}
 	v := edYouTube()
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
 
 	schemes := []abr.Scheme{
 		cavaScheme(),
@@ -63,7 +62,7 @@ func runMultiClient(opt Options) (*Result, error) {
 			var bytes []float64
 			for _, res := range results {
 				bytes = append(bytes, res.TotalBits)
-				s := metrics.Summarize(res, qt, cats)
+				s := metrics.Summarize(res, quality.TableOf(v, quality.VMAFPhone), scene.ClassifyDefault(v))
 				q4s = append(q4s, s.Q4Quality)
 				lows = append(lows, s.LowQualityPct)
 				rebs = append(rebs, s.RebufferSec)

@@ -8,6 +8,7 @@ import (
 	"cava/internal/oracle"
 	"cava/internal/player"
 	"cava/internal/quality"
+	"cava/internal/scene"
 	"cava/internal/trace"
 )
 
@@ -25,8 +26,8 @@ func runOracle(opt Options) (*Result, error) {
 		nTraces = 20
 	}
 	v := edYouTube()
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
+	qt := quality.TableOf(v, quality.VMAFPhone)
+	cats := scene.ClassifyDefault(v)
 	cfg := defaultConfig()
 
 	type agg struct {

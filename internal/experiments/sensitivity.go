@@ -28,7 +28,7 @@ func init() {
 func runCBRvsVBR(opt Options) (*Result, error) {
 	vbr := edFFmpeg()
 	cbr := video.CBRCounterpart(vbr)
-	cats := opt.cache().Categories(vbr)
+	cats := scene.ClassifyDefault(vbr)
 
 	var sb strings.Builder
 	header := []string{"track", "encoding", "avg Mbps", "mean VMAF", "Q4-complex VMAF", "simple VMAF", "stdev"}
@@ -37,7 +37,7 @@ func runCBRvsVBR(opt Options) (*Result, error) {
 		label string
 		v     *video.Video
 	}{{"VBR 2x", vbr}, {"CBR", cbr}} {
-		qt := opt.cache().QualityTable(pair.v, quality.VMAFPhone)
+		qt := quality.TableOf(pair.v, quality.VMAFPhone)
 		for _, li := range []int{2, 3, 4} {
 			var all, q4, simple []float64
 			for i := 0; i < pair.v.NumChunks(); i++ {

@@ -133,16 +133,13 @@ func runLive(opt Options) (*Result, error) {
 	const maxChunks = 60
 
 	v := opt.cache().Generate(video.YouTubeConfig(video.Title{Name: "BBB", Genre: video.Animation}))
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
-
 	factories := []abr.Scheme{cavaScheme(), bolaScheme(abr.BOLASeg, true)}
 	header := []string{"trace", "scheme", "Q4 qual", "low-qual %", "rebuf (s)", "qual chg", "data MB", "wall (s)"}
 	var rows [][]string
 	for ti := 0; ti < nTraces; ti++ {
 		tr := trace.GenLTE(ti)
 		for _, sc := range factories {
-			row, err := liveSession(v, qt, cats, tr, sc, scale, maxChunks)
+			row, err := liveSession(v, tr, sc, scale, maxChunks)
 			if err != nil {
 				return nil, err
 			}
@@ -157,13 +154,12 @@ func runLive(opt Options) (*Result, error) {
 
 // liveSession runs one real HTTP streaming session and returns the
 // formatted metric cells.
-func liveSession(v *video.Video, qt *quality.Table, cats []scene.Category,
-	tr *trace.Trace, sc abr.Scheme, scale float64, maxChunks int) ([]string, error) {
+func liveSession(v *video.Video, tr *trace.Trace, sc abr.Scheme, scale float64, maxChunks int) ([]string, error) {
 	res, _, err := testbedSession(v, tr, sc, scale, maxChunks, dash.FaultConfig{}, nil)
 	if err != nil {
 		return nil, err
 	}
-	s := metrics.Summarize(res, qt, cats)
+	s := metrics.Summarize(res, quality.TableOf(v, quality.VMAFPhone), scene.ClassifyDefault(v))
 	return []string{
 		res.Scheme, f1(s.Q4Quality), f1(s.LowQualityPct), f1(s.RebufferSec),
 		f2(s.QualityChange), f1(s.DataMB), f1(res.SessionSec / scale),
@@ -215,8 +211,8 @@ func runRobustness(opt Options) (*Result, error) {
 	const seed = 1
 
 	v := opt.cache().Generate(video.YouTubeConfig(video.Title{Name: "BBB", Genre: video.Animation}))
-	qt := opt.cache().QualityTable(v, quality.VMAFPhone)
-	cats := opt.cache().Categories(v)
+	qt := quality.TableOf(v, quality.VMAFPhone)
+	cats := scene.ClassifyDefault(v)
 	tr := trace.GenLTE(0)
 
 	schemes := []abr.Scheme{cavaScheme(), bolaScheme(abr.BOLASeg, true)}

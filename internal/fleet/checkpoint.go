@@ -76,8 +76,8 @@ const (
 // trajectory: the corpus content, the scheme identity, the seed and
 // arrival process, truncation and the player constants. Workers is
 // deliberately excluded — a checkpoint may be resumed at any worker count,
-// exactly as a fresh run may use any — as are Cache/Metrics/Collect/
-// CrashHook, which affect observation, not trajectories.
+// exactly as a fresh run may use any — as are Metrics/Collect/CrashHook,
+// which affect observation, not trajectories.
 func configFingerprint(cfg Config) string {
 	h := cache.NewHasher("fleet-ckpt-v1")
 	h.I64(int64(len(cfg.Videos)))

@@ -46,7 +46,6 @@ import (
 	"sync"
 
 	"cava/internal/abr"
-	"cava/internal/cache"
 	"cava/internal/metrics"
 	"cava/internal/player"
 	"cava/internal/quality"
@@ -99,9 +98,6 @@ type Config struct {
 	// Metric is the perceptual metric for per-chunk quality accounting
 	// (default VMAF TV, matching the paper's FCC evaluation).
 	Metric quality.Metric
-	// Cache memoizes per-video quality tables across runs (nil computes
-	// them directly).
-	Cache *cache.Cache
 	// Collect retains every session's full per-chunk player.Result —
 	// memory grows with sessions × chunks, so this is for equivalence
 	// tests and small-fleet debugging, not scale runs.
@@ -259,10 +255,6 @@ func New(cfg Config) (*Engine, error) {
 			return nil, fmt.Errorf("fleet: video %s: %w", v.ID(), err)
 		}
 	}
-	qts := make(map[string]*quality.Table, len(cfg.Videos))
-	for _, v := range cfg.Videos {
-		qts[v.ID()] = cfg.Cache.QualityTable(v, cfg.Metric)
-	}
 	for _, tr := range cfg.Traces {
 		if err := tr.Validate(); err != nil {
 			return nil, fmt.Errorf("fleet: trace %s: %w", tr.ID, err)
@@ -309,7 +301,7 @@ func New(cfg Config) (*Engine, error) {
 			arrivalSec += rng.ExpFloat64() / cfg.ArrivalRatePerSec
 		}
 		e.sessions[i] = session{
-			v: v, tr: tr, qt: qts[v.ID()],
+			v: v, tr: tr, qt: quality.TableOf(v, cfg.Metric),
 			offsetSec: offSec, arrivalSec: arrivalSec,
 			lastLevel: -1,
 		}
@@ -453,18 +445,4 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	return e.Run()
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

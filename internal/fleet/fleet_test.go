@@ -12,6 +12,7 @@ import (
 	"cava/internal/bandwidth"
 	"cava/internal/metrics"
 	"cava/internal/player"
+	"cava/internal/quality"
 	"cava/internal/sim"
 	"cava/internal/trace"
 	"cava/internal/video"
@@ -508,5 +509,55 @@ func TestFleetMaxChunksBudget(t *testing.T) {
 		if len(r.Chunks) != 9 {
 			t.Fatalf("session ran %d chunks, want 9", len(r.Chunks))
 		}
+	}
+}
+
+// TestFleetSameIDVideosScoredByOwnTable pins per-video quality accounting
+// to the video itself, not its ID: Cap4xED and the plain FFmpeg H.264
+// Elephant Dream share the ID "ED-ffmpeg-h264" but differ in content, so
+// each session must be scored with its own video's quality table.
+func TestFleetSameIDVideosScoredByOwnTable(t *testing.T) {
+	videos := []*video.Video{video.Cap4xED(), video.FFmpegVideo(video.OpenTitles[0], video.H264)}
+	if videos[0].ID() != videos[1].ID() {
+		t.Fatalf("fixture needs two videos with one ID, got %s and %s", videos[0].ID(), videos[1].ID())
+	}
+	traces := trace.GenLTESet(3)
+	const (
+		n    = 8
+		seed = 1
+	)
+	sc := abr.Scheme{Name: "BBA-1", New: func(v *video.Video) abr.Algorithm { return abr.NewBBA1(v, 0, 0) }}
+	res, err := Run(Config{
+		Videos: videos, Traces: traces, Scheme: sc,
+		Sessions: n, Seed: seed, Collect: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tables := []*quality.Table{
+		quality.NewTable(videos[0], quality.VMAFTV),
+		quality.NewTable(videos[1], quality.VMAFTV),
+	}
+	// Same rng walk as the engine's assignment pass (no offsets, no
+	// arrivals).
+	rng := rand.New(rand.NewSource(seed))
+	want := make([]float64, n)
+	perVideo := [2]int{}
+	for i := 0; i < n; i++ {
+		vi := rng.Intn(len(videos))
+		rng.Intn(len(traces))
+		perVideo[vi]++
+		sum := 0.0
+		for _, c := range res.Results[i].Chunks {
+			sum += tables[vi].At(c.Level, c.Index)
+		}
+		want[i] = sum / float64(len(res.Results[i].Chunks))
+	}
+	if perVideo[0] == 0 || perVideo[1] == 0 {
+		t.Fatalf("seed %d assigns sessions to only one video: %v", seed, perVideo)
+	}
+	if got := res.AvgQuality; !reflect.DeepEqual(got, metrics.NewSorted(want)) {
+		t.Errorf("AvgQuality p50 %.3f, want %.3f: sessions scored with another video's table",
+			got.Percentile(50), metrics.NewSorted(want).Percentile(50))
 	}
 }

@@ -50,7 +50,7 @@ func (sh *shard) init(e *Engine, lo, hi int32) {
 	size := int(hi - lo)
 	sh.e = e
 	sh.heap = newEventHeap(size)
-	sh.batch = make([]int32, 0, minInt(size, 4096))
+	sh.batch = make([]int32, 0, min(size, 4096))
 	sh.stepFn = sh.stepSession
 	for id := lo; id < hi; id++ {
 		sh.heap.push(event{wakeSec: e.sessions[id].arrivalSec, id: id})
@@ -191,7 +191,7 @@ func (sh *shard) finishSession(id int32, s *session) {
 	e.completionSec[id] = doneSec
 	e.sessionLenSec[id] = res.SessionSec
 	e.dataMB[id] = res.TotalBits / 8 / 1e6
-	chunks := float64(maxInt(s.chunks, 1))
+	chunks := float64(max(s.chunks, 1))
 	e.avgQuality[id] = s.qualSum / chunks
 	e.qualityChange[id] = s.qualChangeSum / chunks
 	e.avgLevel[id] = float64(s.levelSum) / chunks

@@ -131,9 +131,8 @@ func TestOracleValidatesInputs(t *testing.T) {
 	if _, err := Compute(v, &trace.Trace{IntervalSec: 0}, qt, Config{}); err == nil {
 		t.Error("bad trace accepted")
 	}
-	bad := *v
-	bad.Tracks = nil
-	if _, err := Compute(&bad, trace.GenLTE(0), qt, Config{}); err == nil {
+	bad := &video.Video{Name: v.Name, ChunkDurSec: v.ChunkDurSec, Complexity: v.Complexity}
+	if _, err := Compute(bad, trace.GenLTE(0), qt, Config{}); err == nil {
 		t.Error("bad video accepted")
 	}
 }

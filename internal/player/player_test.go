@@ -151,10 +151,9 @@ func TestValidatesInputs(t *testing.T) {
 	if _, err := Simulate(v, badTrace, fixedAlgo(v, 0), DefaultConfig()); err == nil {
 		t.Error("bad trace accepted")
 	}
-	badVideo := *v
-	badVideo.Tracks = nil
+	badVideo := &video.Video{Name: v.Name, ChunkDurSec: v.ChunkDurSec, Complexity: v.Complexity}
 	tr := trace.Constant("c", 1e6, 1200, 1)
-	if _, err := Simulate(&badVideo, tr, fixedAlgo(v, 0), DefaultConfig()); err == nil {
+	if _, err := Simulate(badVideo, tr, fixedAlgo(v, 0), DefaultConfig()); err == nil {
 		t.Error("bad video accepted")
 	}
 }

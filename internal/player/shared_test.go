@@ -149,9 +149,7 @@ func TestSharedValidatesInputs(t *testing.T) {
 		t.Error("no clients accepted")
 	}
 	bad := sharedClients(1, 0)
-	brokenVideo := *bad[0].Video
-	brokenVideo.Tracks = nil
-	bad[0].Video = &brokenVideo
+	bad[0].Video = &video.Video{Name: bad[0].Video.Name, ChunkDurSec: bad[0].Video.ChunkDurSec, Complexity: bad[0].Video.Complexity}
 	if _, err := SimulateShared(trace.Constant("c", 1e6, 10, 1), bad); err == nil {
 		t.Error("bad video accepted")
 	}

@@ -166,7 +166,17 @@ type Table struct {
 	Values [][]float64
 }
 
-// NewTable computes the full quality table of a video.
+// tableKey keys a video's memoized quality table under one metric.
+type tableKey Metric
+
+// TableOf returns the quality table of a video under a metric, computed
+// once per video and shared read-only by every caller.
+func TableOf(v *video.Video, m Metric) *Table {
+	return v.Memo(tableKey(m), func() any { return NewTable(v, m) }).(*Table)
+}
+
+// NewTable computes the full quality table of a video, uncached (see
+// TableOf for the shared per-video table).
 func NewTable(v *video.Video, m Metric) *Table {
 	t := &Table{Metric: m, Values: make([][]float64, v.NumTracks())}
 	for l := range v.Tracks {

@@ -46,9 +46,16 @@ func Classify(v *video.Video, refLevel, nClasses int) []Category {
 	return ClassifySizes(sizes, nClasses)
 }
 
-// ClassifyDefault classifies with the middle reference track and four classes.
+// defaultKey keys a video's memoized default classification.
+type defaultKey struct{}
+
+// ClassifyDefault classifies with the middle reference track and four
+// classes. The classification is computed once per video; the returned
+// slice is shared by every caller and must not be modified.
 func ClassifyDefault(v *video.Video) []Category {
-	return Classify(v, DefaultReferenceTrack(v.NumTracks()), DefaultNumClasses)
+	return v.Memo(defaultKey{}, func() any {
+		return Classify(v, DefaultReferenceTrack(v.NumTracks()), DefaultNumClasses)
+	}).([]Category)
 }
 
 // ClassifySizes assigns quantile categories 1..nClasses to a raw size

@@ -3,6 +3,7 @@ package sim
 import (
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"cava/internal/abr"
@@ -31,6 +32,34 @@ func TestRunRejectsDuplicateSchemeNames(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "Fixed") {
 		t.Errorf("error %q does not name the colliding scheme", err)
+	}
+}
+
+// TestRunRejectsDuplicateVideoIDs covers the same collision on the video
+// axis: cells are keyed by video ID, and Cap4xED shares its ID with the
+// plain FFmpeg H.264 Elephant Dream, so a request holding both would merge
+// two videos' sessions into one cell. Run must refuse it before any
+// session runs.
+func TestRunRejectsDuplicateVideoIDs(t *testing.T) {
+	req := smallRequest(2)
+	req.Videos = []*video.Video{video.FFmpegVideo(video.OpenTitles[0], video.H264), video.Cap4xED()}
+	var built atomic.Int32
+	req.Schemes = []abr.Scheme{{Name: "Fixed", New: func(v *video.Video) abr.Algorithm {
+		built.Add(1)
+		return abr.Fixed(0)(v)
+	}}}
+	res, err := Run(req)
+	if err == nil {
+		t.Fatal("duplicate video IDs accepted")
+	}
+	if res != nil {
+		t.Fatal("failed request returned results")
+	}
+	if !strings.Contains(err.Error(), "ED-ffmpeg-h264") {
+		t.Errorf("error %q does not name the colliding video", err)
+	}
+	if n := built.Load(); n != 0 {
+		t.Errorf("%d sessions started before the request was rejected", n)
 	}
 }
 

@@ -62,12 +62,12 @@ type Request struct {
 	// sim_jobs_pending gauge, so a long sweep is observable live on
 	// /metrics instead of only through its final summary.
 	Metrics *telemetry.Registry
-	// Cache, when non-nil, memoizes per-video derived artifacts (quality
-	// tables, scene classifications) and — for requests whose outcome is
-	// fully determined by fingerprintable inputs (see Fingerprint) — the
-	// whole sweep result, in memory and optionally on disk. Neither
-	// Workers nor Metrics affects results, so neither invalidates a
-	// cached sweep.
+	// Cache, when non-nil, memoizes the whole sweep result of requests
+	// whose outcome is fully determined by fingerprintable inputs (see
+	// Fingerprint), in memory and optionally on disk. Per-video artifacts
+	// (quality tables, scene classifications) need no cache: each video
+	// memoizes its own. Neither Workers nor Metrics affects results, so
+	// neither invalidates a cached sweep.
 	Cache *cache.Cache
 }
 
@@ -111,9 +111,10 @@ func (r *Results) SchemeAll(scheme string) []metrics.Summary {
 // failure (invalid video or trace) aborts the sweep and is returned after
 // the in-flight sessions drain.
 //
-// Scheme names must be unique within a request: results are keyed by
-// scheme name, so duplicates would merge distinct schemes into one cell.
-// Run rejects them with an error instead of silently dropping sessions.
+// Scheme names and video IDs must be unique within a request: results are
+// keyed by (scheme name, video ID), so duplicates would merge distinct
+// schemes or videos into one cell. Run rejects them with an error before
+// running any session.
 //
 // When req.Cache is set and the request is fingerprintable (see
 // Fingerprint), the whole sweep result is memoized: a repeated identical
@@ -126,6 +127,13 @@ func Run(req Request) (*Results, error) {
 			return nil, fmt.Errorf("sim: duplicate scheme name %q in request", sc.Name)
 		}
 		seen[sc.Name] = true
+	}
+	ids := make(map[string]bool, len(req.Videos))
+	for _, v := range req.Videos {
+		if ids[v.ID()] {
+			return nil, fmt.Errorf("sim: duplicate video ID %q in request", v.ID())
+		}
+		ids[v.ID()] = true
 	}
 	if fp, ok := req.Fingerprint(); ok && req.Cache != nil {
 		enc, err := cache.GetOrComputeJSON(req.Cache, cache.KindSim, fp, func() (resultsEnc, error) {
@@ -165,16 +173,6 @@ func run(req Request) (*Results, error) {
 	// takes its Add(-1), so the gauge composes across sweeps and returns
 	// to zero when all of them finish.
 	pending.Add(float64(len(req.Videos) * len(req.Traces) * len(req.Schemes)))
-
-	// Per-video quality tables and classifications, computed once here and
-	// at most once per process when a cache is attached (req.Cache may be
-	// nil; the helpers then compute directly).
-	qts := make(map[string]*quality.Table, len(req.Videos))
-	cats := make(map[string][]scene.Category, len(req.Videos))
-	for _, v := range req.Videos {
-		qts[v.ID()] = req.Cache.QualityTable(v, req.Metric)
-		cats[v.ID()] = req.Cache.Categories(v)
-	}
 
 	jobs := make(chan job)
 	type keyed struct {
@@ -225,7 +223,7 @@ func run(req Request) (*Results, error) {
 						j.v.ID(), j.tr.ID, j.scheme.Name, err))
 					continue
 				}
-				s := metrics.Summarize(res, qts[j.v.ID()], cats[j.v.ID()])
+				s := metrics.Summarize(res, quality.TableOf(j.v, req.Metric), scene.ClassifyDefault(j.v))
 				// Cells — and the summaries inside them — carry the sweep's
 				// scheme label, not the algorithm's self-reported name: a
 				// constructor may name its algorithm differently (or several

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 )
 
 // Codec identifies the video codec used for a track family.
@@ -193,6 +194,9 @@ func (t *Track) PeakToAvg() float64 {
 // for the raw footage); ABR algorithms must not read it — they only see
 // chunk sizes, declared bitrates and (for PANDA/CQ only) quality values, as
 // in the DASH/HLS manifests the paper targets.
+//
+// A Video is immutable once built and always used by pointer: it carries
+// the memo of its derived artifacts (see Memo).
 type Video struct {
 	// Name identifies the title (e.g. "ED" for Elephant Dream).
 	Name string
@@ -212,6 +216,41 @@ type Video struct {
 	Complexity []float64
 	// Tracks are the renditions in ascending bitrate order.
 	Tracks []Track
+
+	memo memo
+}
+
+// memo holds the artifacts derived from a video's immutable content. It
+// lives in the Video, so each artifact is built at most once per video and
+// is released with it.
+type memo struct {
+	mu      sync.Mutex
+	entries map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	val  any
+}
+
+// Memo returns the artifact stored under key, calling compute on the first
+// request; concurrent first requests run compute once and share its
+// result, and compute may call Memo for other keys. Callers key by an
+// unexported type of their own package, so packages cannot collide, and
+// treat the shared artifact as read-only.
+func (v *Video) Memo(key any, compute func() any) any {
+	v.memo.mu.Lock()
+	e := v.memo.entries[key]
+	if e == nil {
+		if v.memo.entries == nil {
+			v.memo.entries = make(map[any]*memoEntry)
+		}
+		e = &memoEntry{}
+		v.memo.entries[key] = e
+	}
+	v.memo.mu.Unlock()
+	e.once.Do(func() { e.val = compute() })
+	return e.val
 }
 
 // ID returns a unique identifier combining name, source and codec.

@@ -212,34 +212,43 @@ func TestComplexityDrivesSize(t *testing.T) {
 
 func TestValidateRejectsBrokenVideos(t *testing.T) {
 	good := FFmpegVideo(OpenTitles[0], H264)
+	// clone copies the exported fields; a Video carries its artifact memo
+	// and is never copied by value.
+	clone := func() *Video {
+		return &Video{
+			Name: good.Name, Genre: good.Genre, Codec: good.Codec, Source: good.Source,
+			ChunkDurSec: good.ChunkDurSec, Cap: good.Cap, FPS: good.FPS,
+			Complexity: good.Complexity, Tracks: good.Tracks,
+		}
+	}
 
-	noTracks := *good
+	noTracks := clone()
 	noTracks.Tracks = nil
 	if noTracks.Validate() == nil {
 		t.Error("video without tracks validated")
 	}
 
-	badDur := *good
+	badDur := clone()
 	badDur.ChunkDurSec = 0
 	if badDur.Validate() == nil {
 		t.Error("zero chunk duration validated")
 	}
 
-	mismatched := *good
+	mismatched := clone()
 	mismatched.Tracks = append([]Track(nil), good.Tracks...)
 	mismatched.Tracks[1].ChunkSizesBits = mismatched.Tracks[1].ChunkSizesBits[:10]
 	if mismatched.Validate() == nil {
 		t.Error("mismatched chunk counts validated")
 	}
 
-	unordered := *good
+	unordered := clone()
 	unordered.Tracks = append([]Track(nil), good.Tracks...)
 	unordered.Tracks[0], unordered.Tracks[1] = unordered.Tracks[1], unordered.Tracks[0]
 	if unordered.Validate() == nil {
 		t.Error("non-ascending bitrates validated")
 	}
 
-	badCx := *good
+	badCx := clone()
 	badCx.Complexity = append([]float64(nil), good.Complexity...)
 	badCx.Complexity[0] = 1.5
 	if badCx.Validate() == nil {

@@ -21,10 +21,12 @@ go build ./...
 go test -race ./...
 # Hammer the concurrency-heavy packages a second time under the race
 # detector: the cache's singleflight path, the sim worker pool, the
-# telemetry registry, and the fleet engine's multi-worker shard pass
-# (TestFleetShardEquivalence runs 2/7/GOMAXPROCS-shard fleets) are where a
-# data race would land.
-go test -race -count=2 ./internal/sim ./internal/cache ./internal/telemetry ./internal/fleet
+# telemetry registry, the fleet engine's multi-worker shard pass
+# (TestFleetShardEquivalence runs 2/7/GOMAXPROCS-shard fleets), and the
+# per-video artifact memo's racing first callers (internal/video,
+# internal/core) are where a data race would land.
+go test -race -count=2 ./internal/sim ./internal/cache ./internal/telemetry ./internal/fleet \
+	./internal/video ./internal/core
 go test -bench=Telemetry -benchtime=100x -run='TestZeroAllocUpdates|TestTelemetryDisabledAllocBound' \
 	./internal/telemetry ./internal/player
 # Sweep-memoization gate: warm replay must do zero sim work and reproduce
